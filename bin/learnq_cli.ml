@@ -1595,8 +1595,9 @@ let serve_cmd =
     in
     let daemon = Server.Daemon.create cfg in
     (* SIGTERM/SIGINT start the drain: stop admitting, finish the backlog,
-       sync every journal, exit 0.  The handler only flips a flag. *)
-    let stop _ = Server.Daemon.drain daemon in
+       sync every journal, exit 0.  The handler takes no lock: it flags the
+       request and wakes the mux, whose loop runs the drain. *)
+    let stop _ = Server.Daemon.request_drain daemon in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

@@ -1739,6 +1739,144 @@ let xmlstore_eval =
     }
 
 (* ------------------------------------------------------------------ *)
+(* pool-build: the learners' candidate-pool builders ≡ their list-based *)
+(* references (same items, order, shared tuples, generator state)      *)
+(* ------------------------------------------------------------------ *)
+
+type pool_case =
+  | Join_pool of {
+      left : Relational.Relation.t;
+      right : Relational.Relation.t;
+      left_arity : int;  (** the space's, at most the relation's *)
+      right_arity : int;
+    }
+  | Path_pool of {
+      graph : Graphdb.Graph.t;
+      max_len : int;
+      per_source : int;
+      seed : int;
+    }
+
+(* Few distinct values, so agreements — and repeated rows, which the
+   relation drops — are common. *)
+let pool_value g =
+  if Prng.bool g then Relational.Value.Int (Prng.int g 4)
+  else Relational.Value.Str (Prng.pick_array g [| "x"; "y"; "0"; "" |])
+
+let pool_relation g ~name ~arity ~rows =
+  let fresh () = Array.init arity (fun _ -> pool_value g) in
+  let rec build acc n =
+    if n = 0 then List.rev acc
+    else
+      let row =
+        match acc with
+        | _ :: _ when Prng.chance g 0.2 -> Array.copy (Prng.pick g acc)
+        | _ -> fresh ()
+      in
+      build (row :: acc) (n - 1)
+  in
+  Relational.Relation.make ~name
+    ~attrs:(List.init arity (Printf.sprintf "%s%d" name))
+    (build [] rows)
+
+(* Shapes at the 62-pair limit next to small random ones. *)
+let wide_shapes = [| (1, 62); (62, 1); (2, 31); (31, 2); (7, 8); (8, 7); (6, 10) |]
+
+(* Labels that are prefixes of one another, empty, and out of
+   insertion order, so the word order is tested where it is subtle. *)
+let pool_labels =
+  [| "b"; "a"; "ab"; "aa"; "ba"; ""; "highway"; "road"; "ferry"; "B"; "a0"; "zz" |]
+
+let pool_generate g ~size =
+  if Prng.bool g then begin
+    let la, ra =
+      if Prng.chance g 0.25 then Prng.pick_array g wide_shapes
+      else (Prng.int_in g 1 5, Prng.int_in g 1 5)
+    in
+    let rows () = Prng.int g (2 * size + 2) in
+    let left = pool_relation g ~name:"l" ~arity:la ~rows:(rows ()) in
+    let right = pool_relation g ~name:"r" ~arity:ra ~rows:(rows ()) in
+    let narrow a = if Prng.chance g 0.2 then Prng.int_in g 1 a else a in
+    Join_pool
+      { left; right; left_arity = narrow la; right_arity = narrow ra }
+  end
+  else begin
+    let nodes = Prng.int_in g 1 (size + 1) in
+    let labels = Array.sub pool_labels 0 (Prng.int_in g 1 (Array.length pool_labels)) in
+    let edges =
+      List.init (Prng.int g (3 * size + 1)) (fun _ ->
+          let u = Prng.int g nodes in
+          let v = if Prng.chance g 0.15 then u else Prng.int g nodes in
+          (u, Prng.pick_array g labels, v))
+    in
+    let per_source =
+      match Prng.int g 4 with
+      | 0 -> Prng.int_in g (-1) 3
+      | 1 -> 1000
+      | _ -> Prng.int_in g 1 (4 * size)
+    in
+    Path_pool
+      {
+        graph = Graphdb.Graph.make ~nodes edges;
+        max_len = Prng.int_in g 1 4;
+        per_source;
+        seed = Prng.int g 1_000_000;
+      }
+  end
+
+let check_pool_build = function
+  | Join_pool { left; right; left_arity; right_arity } ->
+      Reference.check_join_pool
+        (Joinlearn.Signature.space ~left_arity ~right_arity)
+        left right
+  | Path_pool { graph; max_len; per_source; seed } ->
+      Reference.check_path_pool ~max_len ~per_source
+        ~rng:(Prng.create seed) graph
+
+let pool_candidates = function
+  | Join_pool c ->
+      let fit r a = min a (Relational.Relation.arity r) in
+      List.map
+        (fun left -> Join_pool { c with left; left_arity = fit left c.left_arity })
+        (Shrink.relation c.left)
+      @ List.map
+          (fun right ->
+            Join_pool { c with right; right_arity = fit right c.right_arity })
+          (Shrink.relation c.right)
+  | Path_pool c ->
+      List.map (fun graph -> Path_pool { c with graph }) (Shrink.graph c.graph)
+      @ (if c.max_len > 1 then [ Path_pool { c with max_len = c.max_len - 1 } ]
+         else [])
+
+let pool_build =
+  Spec
+    { name = "pool-build";
+      about =
+        "join/path pool builders ≡ list-based references: items, order, \
+         shared tuples, Prng state";
+      generate = pool_generate;
+      check = check_pool_build;
+      candidates = pool_candidates;
+      print =
+        (function
+        | Join_pool c ->
+            Printf.sprintf "space %dx%d\nleft: %s\nright: %s" c.left_arity
+              c.right_arity
+              (pstr Relational.Relation.pp c.left)
+              (pstr Relational.Relation.pp c.right)
+        | Path_pool c ->
+            Printf.sprintf "max_len %d, per_source %d, seed %d\ngraph: %s"
+              c.max_len c.per_source c.seed (pstr Graphdb.Graph.pp c.graph));
+      size_of =
+        (function
+        | Join_pool c ->
+            Relational.Relation.cardinal c.left + Relational.Relation.cardinal c.right
+        | Path_pool c ->
+            Graphdb.Graph.node_count c.graph + Graphdb.Graph.edge_count c.graph
+            + c.max_len);
+    }
+
+(* ------------------------------------------------------------------ *)
 
 let all =
   [ eval_cache;
@@ -1762,6 +1900,7 @@ let all =
     journal_checkpoint_resume;
     vfs_torn_write;
     telemetry_transparency;
+    pool_build;
   ]
 
 let find n = List.find_opt (fun o -> name o = n) all

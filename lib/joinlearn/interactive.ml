@@ -47,19 +47,21 @@ end
 
 module Loop = Core.Interact.Make (Session)
 
+(* One pass over the Cartesian product: {!Signature.fold_pairs} interns
+   the values once and visits the pairs back to front, so the list is
+   consed in order with no intermediate lists.  Items share the
+   relations' tuple arrays. *)
 let items_of space left right =
   Core.Telemetry.with_span "join.signatures" @@ fun () ->
+  let lt = Array.of_list (Relational.Relation.tuples left)
+  and rt = Array.of_list (Relational.Relation.tuples right) in
   let items =
-    List.concat_map
-      (fun rt ->
-        List.map
-          (fun st ->
-            { left = rt; right = st; mask = Signature.signature space rt st })
-          (Relational.Relation.tuples right))
-      (Relational.Relation.tuples left)
+    Signature.fold_pairs space lt rt ~init:[] (fun a b mask acc ->
+        { left = lt.(a); right = rt.(b); mask } :: acc)
   in
   if Core.Telemetry.enabled () then
-    Core.Telemetry.Metrics.incr m_signatures ~by:(List.length items);
+    Core.Telemetry.Metrics.incr m_signatures
+      ~by:(Array.length lt * Array.length rt);
   items
 
 let lattice_strategy _rng (st : Session.state) items =

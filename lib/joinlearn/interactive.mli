@@ -21,7 +21,9 @@ module Loop : module type of Core.Interact.Make (Session)
 val items_of :
   Signature.space -> Relational.Relation.t -> Relational.Relation.t ->
   item list
-(** The full Cartesian pool with precomputed signatures. *)
+(** The full Cartesian pool, left-major, with precomputed signatures;
+    items share the relations' tuple arrays.  Built in one pass by
+    {!Signature.fold_pairs}. *)
 
 val lattice_strategy : (Session.state, item) Core.Interact.strategy
 (** Asks the pair agreeing with the current most-specific predicate on the

@@ -28,7 +28,23 @@ val to_predicate : space -> mask -> Relational.Algebra.predicate
 
 val signature :
   space -> Relational.Relation.tuple -> Relational.Relation.tuple -> mask
-(** Set of pairs on which the tuples agree. *)
+(** Set of pairs on which the tuples agree.
+    @raise Invalid_argument on a tuple narrower than the space. *)
+
+val fold_pairs :
+  space ->
+  Relational.Relation.tuple array ->
+  Relational.Relation.tuple array ->
+  init:'a ->
+  (int -> int -> mask -> 'a -> 'a) ->
+  'a
+(** [fold_pairs sp lt rt ~init f] folds [f a b (signature sp lt.(a)
+    rt.(b))] over every row pair, from the last pair of the row-major
+    order to the first — like [List.fold_right], so consing builds the
+    left-major pool in order.  Values are interned once for the batch and
+    masks are computed by the same int kernel as {!signature}.
+    @raise Invalid_argument on a tuple narrower than the space (when both
+    sides are non-empty). *)
 
 val subset : mask -> mask -> bool
 val inter : mask -> mask -> mask

@@ -26,8 +26,13 @@ module Loop : module type of Core.Interact.Make (Session)
 val items_of_graph :
   ?max_len:int -> ?per_source:int -> rng:Core.Prng.t -> Graphdb.Graph.t ->
   item list
-(** Path pool: walks harvested breadth-first from every node, capped at
-    [per_source] (default 30) per source, length ≤ [max_len] (default 4). *)
+(** Path pool: for each source in node order, its distinct
+    [(dst, word)] walks of 1 to [max_len] (default 4) edges, in (dst,
+    word) order — the polymorphic order of the items — and, beyond
+    [per_source] (default 30) of them, the first [per_source] of a
+    {!Core.Prng.shuffle}-equivalent draw from [rng].  Items with the same
+    word share its label list.  One depth-first pass per source over a
+    label trie shared by all sources; walks are sorted as int pairs. *)
 
 val workload_strategy :
   prior:Automata.Dfa.t list -> (Session.state, item) Core.Interact.strategy

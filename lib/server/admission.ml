@@ -185,7 +185,10 @@ let round t ~taken ~room =
 
 let take_batch t ~max ~block =
   with_lock t (fun () ->
-      if block && t.total = 0 then Condition.wait t.cv t.m;
+      (* Never wait once draining: a taker that arrives after [drain]'s
+         broadcast would otherwise sleep through it and strand the
+         dispatcher (and [serve]'s join on it) for good. *)
+      if block && t.total = 0 && not t.draining then Condition.wait t.cv t.m;
       if t.total = 0 then []
       else begin
         let taken = Hashtbl.create 16 in

@@ -68,7 +68,8 @@ val finish : job -> Http.response -> unit
 val take_batch : t -> max:int -> block:bool -> job list
 (** Up to [max] key-disjoint jobs, round-robin across tenants.  With
     [block], waits until a job arrives or {!wake}; may return [[]] on a
-    wake-up (the dispatcher's cue to re-check for drain). *)
+    wake-up (the dispatcher's cue to re-check for drain).  Never waits
+    after {!drain}: an empty draining queue returns [[]] at once. *)
 
 val wake : t -> unit
 (** Wake blocked {!take_batch} callers (drain path). *)

@@ -80,6 +80,7 @@ type t = {
   registry : Registry.t;
   admission : Admission.t;
   drain_flag : bool Atomic.t;
+  drain_requested : bool Atomic.t;  (** set by {!request_drain} *)
   degraded_flag : bool Atomic.t;
       (** the disk said ENOSPC: refuse writes until the probe heals *)
   mutable mux : Mux.t option;  (** set by [serve] before the loop starts *)
@@ -125,6 +126,7 @@ let create cfg =
     registry;
     admission;
     drain_flag = Atomic.make false;
+    drain_requested = Atomic.make false;
     degraded_flag = Atomic.make false;
     mux = None;
     requests = Atomic.make 0;
@@ -149,6 +151,15 @@ let drain t =
   (* Nudge the two sleepers that check the flag: the dispatcher (blocked in
      take_batch) and the mux (blocked in poll). *)
   Admission.wake t.admission;
+  match t.mux with Some m -> Mux.wake m | None -> ()
+
+(* A signal handler runs at a poll point of whichever thread is running,
+   possibly one holding the admission lock, which [drain] takes (and
+   OCaml's error-checking mutexes raise on a relock).  So the handler
+   only flags the request and wakes the mux; the mux's tick, on an
+   ordinary thread, runs [drain]. *)
+let request_drain t =
+  Atomic.set t.drain_requested true;
   match t.mux with Some m -> Mux.wake m | None -> ()
 
 let draining t = Atomic.get t.drain_flag
@@ -802,6 +813,7 @@ let serve t =
          ~1/s. *)
       let last_probe = ref 0. in
       let tick () =
+        if Atomic.get t.drain_requested && not (draining t) then drain t;
         let now = Unix.gettimeofday () in
         if now -. !last_probe >= 1.0 then begin
           last_probe := now;

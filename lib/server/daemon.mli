@@ -74,7 +74,8 @@
 
     {2 Drain}
 
-    {!drain} (async-signal-safe: a flag write) starts the choreography:
+    {!drain} (or {!request_drain}, from a signal handler) starts the
+    choreography:
     stop accepting, answer session requests 503, let the dispatcher finish
     the queued backlog, wait up to [drain_grace] for connection threads,
     journal-sync every live session ({!Registry.drain}), shut the pool
@@ -132,7 +133,13 @@ val serve : t -> (unit, string) result
     [Error] is a bind/listen failure. *)
 
 val drain : t -> unit
-(** Idempotent; callable from a signal handler or another thread. *)
+(** Idempotent; callable from any thread.  Takes the admission lock, so
+    not from a signal handler — use {!request_drain} there. *)
+
+val request_drain : t -> unit
+(** Signal-handler entry: flags the request and wakes the mux, taking no
+    lock; the mux loop's next tick runs {!drain}.  A request made before
+    {!serve} reaches its loop is honored by the loop's first tick. *)
 
 val draining : t -> bool
 

@@ -239,11 +239,12 @@ let fresh_label_for q =
   in
   pick 0
 
-let canonical_instances ?(max_variants = 64) q =
+let canonical_instances ?(max_variants = 64) ?(depth = 1) q =
   let fresh = fresh_label_for q in
   let pat = pattern_of_query q in
+  let depth = max 0 depth in
   (* Collect descendant edges: the virtual-root edge (if descendant) plus
-     every descendant edge in the pattern, indexed for variant bits. *)
+     every descendant edge in the pattern, indexed for the variants. *)
   let edge_count = ref 0 in
   let edge_ids = Hashtbl.create 16 in
   (if pat.first_axis = Query.Descendant then (
@@ -260,16 +261,34 @@ let canonical_instances ?(max_variants = 64) q =
   in
   collect pat.proot;
   let k = !edge_count in
-  let variants =
-    if k = 0 then [ [||] ]
-    else if 1 lsl k <= max_variants then
-      List.init (1 lsl k) (fun bits ->
-          Array.init k (fun i -> bits land (1 lsl i) <> 0))
-    else [ Array.make k false; Array.make k true ]
+  (* A variant gives each descendant edge its number of fresh nodes, 0 to
+     [depth]: all [(depth + 1)^k] of them when that fits [max_variants]. *)
+  let rec count acc i =
+    if i = 0 then Some acc
+    else if acc > max_variants / (depth + 1) then None
+    else count (acc * (depth + 1)) (i - 1)
   in
-  let instance bits =
+  let variants =
+    match count 1 k with
+    | Some total ->
+        List.init total (fun v ->
+            let lens = Array.make k 0 in
+            let v = ref v in
+            for i = 0 to k - 1 do
+              lens.(i) <- !v mod (depth + 1);
+              v := !v / (depth + 1)
+            done;
+            lens)
+    | None -> [ Array.make k 0; Array.make k depth ]
+  in
+  let instance lens =
     let lbl = function Query.Label l -> l | Query.Wildcard -> fresh in
     let out_path = ref [] in
+    (* [n] fresh nodes above [t], one child each. *)
+    let rec wrap n t =
+      if n = 0 then t else wrap (n - 1) (Xmltree.Tree.node fresh [ t ])
+    in
+    let zeros n = List.init n (fun _ -> 0) in
     (* Build bottom-up, tracking the child index of each emitted child and
        the path to the output node. *)
     let rec build path (n : pnode) : Xmltree.Tree.t =
@@ -281,10 +300,8 @@ let canonical_instances ?(max_variants = 64) q =
             match a with
             | Query.Child -> build (path @ [ !idx ]) c
             | Query.Descendant ->
-                let eid = Hashtbl.find edge_ids (n.pid, c.pid) in
-                if bits.(eid) then
-                  Xmltree.Tree.node fresh [ build (path @ [ !idx; 0 ]) c ]
-                else build (path @ [ !idx ]) c
+                let len = lens.(Hashtbl.find edge_ids (n.pid, c.pid)) in
+                wrap len (build (path @ (!idx :: zeros len)) c)
           in
           children := wrapped :: !children;
           incr idx)
@@ -296,17 +313,37 @@ let canonical_instances ?(max_variants = 64) q =
       match pat.first_axis with
       | Query.Child -> build [] pat.proot
       | Query.Descendant ->
-          let eid = Hashtbl.find edge_ids (-1, -1) in
-          if bits.(eid) then
-            Xmltree.Tree.node fresh [ build [ 0 ] pat.proot ]
-          else build [] pat.proot
+          let len = lens.(Hashtbl.find edge_ids (-1, -1)) in
+          wrap len (build (zeros len) pat.proot)
     in
     (tree, !out_path)
   in
   List.map instance variants
 
+(* The longest chain of wildcard nodes joined by child edges, anywhere in
+   the pattern. *)
+let star_length q =
+  let best = ref 0 in
+  let rec run (n : pnode) =
+    let below =
+      List.fold_left
+        (fun acc (a, c) ->
+          let r = run c in
+          if a = Query.Child then max acc r else acc)
+        0 n.psubs
+    in
+    let here = if n.ptest = Query.Wildcard then 1 + below else 0 in
+    best := max !best here;
+    here
+  in
+  ignore (run (pattern_of_query q).proot);
+  !best
+
+(* Miklau–Suciu: a descendant edge of [q1] stretched by more fresh nodes
+   than [q2]'s longest wildcard chain can bridge adds no new case, so
+   [star_length q2 + 1] fresh nodes per edge make the check exact. *)
 let subsumed_semantic ?max_variants q1 q2 =
   Core.Telemetry.Metrics.incr m_semantic;
   List.for_all
     (fun (tree, out) -> Eval.selects q2 tree out)
-    (canonical_instances ?max_variants q1)
+    (canonical_instances ?max_variants ~depth:(star_length q2 + 1) q1)

@@ -41,16 +41,25 @@ val set_filter_cache : ?enabled:bool -> ?capacity:int -> unit -> unit
     [>= 16]) bounds the table, which is cleared wholesale when full. *)
 
 val canonical_instances :
-  ?max_variants:int -> Query.t -> (Xmltree.Tree.t * Xmltree.Tree.path) list
+  ?max_variants:int ->
+  ?depth:int ->
+  Query.t ->
+  (Xmltree.Tree.t * Xmltree.Tree.path) list
 (** Canonical models of a query: pattern instances where wildcards become a
-    fresh label and each descendant edge is realized both directly and
-    through one fresh intermediate node (capped at [max_variants], default
-    64).  Each instance comes with the output node's path, and the query
-    selects it. *)
+    fresh label and each descendant edge is realized through 0 to [depth]
+    (default 1) fresh intermediate nodes — every combination while the
+    [(depth + 1)^d] variants fit [max_variants] (default 64), otherwise
+    only all-0 and all-[depth].  Each instance comes with the output
+    node's path, and the query selects it. *)
+
+val star_length : Query.t -> int
+(** The longest chain of wildcard nodes joined by child edges. *)
 
 val subsumed_semantic : ?max_variants:int -> Query.t -> Query.t -> bool
-(** q1 ⊆ q2 decided by evaluating [q2] on the canonical instances of [q1].
-    Exact when [max_variants] (default 64) covers all 2^d descendant-edge
-    instantiations of [q1]; above the cap only the two extreme variants are
+(** q1 ⊆ q2 decided by evaluating [q2] on the canonical instances of [q1]
+    with [depth = star_length q2 + 1]: by Miklau and Suciu's bound, longer
+    fresh chains cannot matter, so the check is exact when [max_variants]
+    (default 64) covers all [(depth + 1)^d] instantiations of [q1]'s [d]
+    descendant edges; above the cap only the two extreme variants are
     tested and the check over-approximates.  Used in tests to cross-check
     {!subsumed}. *)

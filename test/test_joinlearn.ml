@@ -420,6 +420,44 @@ let test_crowd_budget () =
     (report.outcome.questions <= 10);
   Alcotest.(check bool) "spend within budget" true (report.spent <= 1.0 +. 1e-9)
 
+(* The production pool builder against the list-based reference at the
+   size learn-join runs (256x256 rows), as the CLI seeds it. *)
+let test_pool_matches_reference_cli_size () =
+  List.iter
+    (fun seed ->
+      let rng = Core.Prng.create seed in
+      let inst =
+        Relational.Generator.pair_instance ~rng ~left_rows:256 ~right_rows:256 ()
+      in
+      let space =
+        Joinlearn.Signature.space
+          ~left_arity:(Relational.Relation.arity inst.left)
+          ~right_arity:(Relational.Relation.arity inst.right)
+      in
+      match Fuzz.Reference.check_join_pool space inst.left inst.right with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "seed %d: %s" seed e)
+    [ 0; 1; 2 ]
+
+let test_signature_mixed_values () =
+  let sp = Joinlearn.Signature.space ~left_arity:3 ~right_arity:2 in
+  let v = Relational.Value.of_string in
+  let lt = [| v "1"; v "x"; v "1" |] and rt = [| v "1"; v "1x" |] in
+  (* a0=b0 and a2=b0 agree; the Str "x" never equals an Int. *)
+  Alcotest.(check int) "mask" 0b010001 (Joinlearn.Signature.signature sp lt rt);
+  let rel name tuples =
+    Relational.Relation.make ~name ~attrs:[ name ^ "0"; name ^ "1"; name ^ "2" ]
+      tuples
+  in
+  let left = rel "l" [ lt; [| v "x"; v "1"; v "" |]; lt ] in
+  let right =
+    Relational.Relation.make ~name:"r" ~attrs:[ "r0"; "r1" ]
+      [ rt; [| v "x"; v "" |] ]
+  in
+  match Fuzz.Reference.check_join_pool sp left right with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "joinlearn"
     [
@@ -468,5 +506,9 @@ let () =
           Alcotest.test_case "split strategy" `Slow test_interactive_split_strategy;
           Alcotest.test_case "prunes in bulk" `Slow test_interactive_prunes_bulk;
           Alcotest.test_case "crowd budget" `Quick test_crowd_budget;
+          Alcotest.test_case "pool matches reference at CLI size" `Quick
+            test_pool_matches_reference_cli_size;
+          Alcotest.test_case "signature over mixed values" `Quick
+            test_signature_mixed_values;
         ] );
     ]

@@ -234,6 +234,57 @@ let test_workload_strategy_prefers_prior () =
         (List.for_all (String.equal "highway") first.word)
   | [] -> Alcotest.fail "questions expected"
 
+(* The production pool builder against the list-based reference at the
+   size learn-path runs (512 cities, walks up to 3 edges), with the CLI's
+   generator state after building the network. *)
+let test_pool_matches_reference_cli_size () =
+  List.iter
+    (fun seed ->
+      let rng = Core.Prng.create seed in
+      let graph = Graphdb.Generators.geo ~rng ~cities:512 () in
+      List.iter
+        (fun (max_len, per_source) ->
+          match
+            Fuzz.Reference.check_path_pool ~max_len ~per_source ~rng graph
+          with
+          | Ok () -> ()
+          | Error e ->
+              Alcotest.failf "seed %d, max_len %d, per_source %d: %s" seed
+                max_len per_source e)
+        [ (3, 30); (4, 30); (3, 1000); (2, 0) ])
+    [ 0; 1 ]
+
+(* Labels that are prefixes of one another, an empty label and a self-loop:
+   the word order is polymorphic compare's, a prefix first. *)
+let test_pool_word_order () =
+  let graph =
+    Graphdb.Graph.make ~nodes:2
+      [ (0, "ab", 1); (0, "a", 1); (1, "", 0); (0, "b", 0); (0, "a", 0) ]
+  in
+  let items =
+    Pathlearn.Interactive.items_of_graph ~max_len:2 ~rng:(Core.Prng.create 0)
+      graph
+  in
+  let from0 =
+    List.filter_map
+      (fun (it : Pathlearn.Interactive.item) ->
+        if it.src = 0 && it.dst = 1 then Some it.word else None)
+      items
+  in
+  Alcotest.(check (list (list string)))
+    "0 -> 1 words"
+    [ [ "a" ]; [ "a"; "a" ]; [ "a"; "ab" ]; [ "ab" ]; [ "b"; "a" ]; [ "b"; "ab" ] ]
+    from0;
+  List.iter
+    (fun per_source ->
+      match
+        Fuzz.Reference.check_path_pool ~max_len:3 ~per_source
+          ~rng:(Core.Prng.create 5) graph
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "per_source %d: %s" per_source e)
+    [ -1; 0; 1; 3; 30 ]
+
 let () =
   Alcotest.run "pathlearn"
     [
@@ -267,5 +318,8 @@ let () =
           Alcotest.test_case "consistent" `Slow test_interactive_consistent;
           Alcotest.test_case "dedups words" `Slow test_interactive_dedups_words;
           Alcotest.test_case "workload prior" `Slow test_workload_strategy_prefers_prior;
+          Alcotest.test_case "pool matches reference at CLI size" `Quick
+            test_pool_matches_reference_cli_size;
+          Alcotest.test_case "pool word order" `Quick test_pool_word_order;
         ] );
     ]

@@ -793,6 +793,30 @@ let test_admission_drain_refuses_submits () =
   Alcotest.(check int) "backlog still drains" 1 (List.length batch);
   Alcotest.(check int) "queue empty afterwards" 0 (Admission.pending adm)
 
+let test_admission_drain_before_take () =
+  (* A dispatcher that first reaches [take_batch] after the drain's
+     broadcast — a SIGTERM right after start-up — must not sleep through
+     it: [serve] joins the dispatcher, so the drain would hang. *)
+  let adm = Admission.create ~max_queue:4 () in
+  Admission.drain adm;
+  let returned = Atomic.make false in
+  let taker =
+    Thread.create
+      (fun () ->
+        ignore (Admission.take_batch adm ~max:4 ~block:true);
+        Atomic.set returned true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let ok = Atomic.get returned in
+  (* Release a stuck taker so the suite can go on. *)
+  if not ok then Admission.wake adm;
+  Thread.join taker;
+  Alcotest.(check bool) "take_batch returns without a wake-up" true ok
+
 (* ------------------------------------------------------------------ *)
 (* Daemon + client, in process                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1519,6 +1543,8 @@ let () =
             test_admission_batches_key_disjoint;
           Alcotest.test_case "drain refuses submits" `Quick
             test_admission_drain_refuses_submits;
+          Alcotest.test_case "drain before take does not block" `Quick
+            test_admission_drain_before_take;
         ] );
       ( "daemon",
         [

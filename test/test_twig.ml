@@ -283,6 +283,22 @@ let test_canonical_instances () =
         (Eval.selects q t out))
     instances
 
+(* One fresh node per descendant edge is too shallow when [q2] has
+   wildcards: [q1]'s leading [//] must stretch past [q2]'s [/*] and its
+   [/c] (two fresh nodes) before [q2] stops matching.  The witness below
+   is selected by [q1] and not by [q2]. *)
+let test_semantic_containment_deep_descendant () =
+  let q1 = Parse.query "//c[.//c//b]/c/c"
+  and q2 = Parse.query "/*[.//b][.//c]/c//c" in
+  let witness = Xmltree.Parse.xml "<r><a><c><c><b/></c><c><c/></c></c></a></r>" in
+  let out = [ 0; 0; 1; 0 ] in
+  Alcotest.(check bool) "q1 selects the witness" true (Eval.selects q1 witness out);
+  Alcotest.(check bool) "q2 does not" false (Eval.selects q2 witness out);
+  Alcotest.(check int) "q2's wildcard chain" 1 (Contain.star_length q2);
+  Alcotest.(check bool) "no homomorphism" false (Contain.subsumed q1 q2);
+  Alcotest.(check bool) "canonical models refute containment" false
+    (Contain.subsumed_semantic ~max_variants:65536 q1 q2)
+
 (* Random queries: spines of 1-4 steps over {a,b,c} with simple filters. *)
 let gen_query =
   let open QCheck.Gen in
@@ -509,6 +525,8 @@ let () =
           Alcotest.test_case "equiv" `Quick test_equiv;
           Alcotest.test_case "filter subsumption" `Quick test_filter_subsumed;
           Alcotest.test_case "canonical instances" `Quick test_canonical_instances;
+          Alcotest.test_case "semantic containment past a wildcard chain" `Quick
+            test_semantic_containment_deep_descendant;
           qcheck prop_hom_sound;
           qcheck prop_hom_complete_anchored;
           qcheck prop_canonical_selected;
