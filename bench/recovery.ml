@@ -20,14 +20,6 @@ let recovered_exn = function
   | Ok (r : Core.Journal.recovered) -> r
   | Error e -> failwith (Core.Error.to_string e)
 
-let decode_with decode events =
-  List.filter_map
-    (function
-      | Core.Journal.Answered (s, reply) ->
-          Option.map (fun it -> (it, reply)) (decode s)
-      | _ -> None)
-    events
-
 (* ------------------------------------------------------------------ *)
 (* Raw journal: a 1k-answer session, recorded and replayed              *)
 (* ------------------------------------------------------------------ *)
@@ -85,18 +77,19 @@ type engine_times = {
    fresh deterministic rngs so the sessions are identical. *)
 let measure_engine name encode decode run =
   with_temp (fun path ->
-      let live_outcome, live = time (fun () -> run None []) in
+      let live_outcome, live = time (fun () -> run None None) in
       let j =
         Core.Journal.create ~path
           { Core.Journal.seed = 1; engine = name; config = "bench" }
       in
       let journaled_outcome, journaled =
-        time (fun () -> run (Some (j, encode)) [])
+        time (fun () -> run (Some (j, encode)) None)
       in
       Core.Journal.close j;
       let r = recovered_exn (Core.Journal.recover ~path) in
-      let resume = decode_with decode r.events in
-      let resumed_outcome, resumed = time (fun () -> run None resume) in
+      let resumed_outcome, resumed =
+        time (fun () -> run None (Some (r.events, decode)))
+      in
       ignore journaled_outcome;
       if resumed_outcome <> live_outcome then
         failwith (name ^ ": replayed session diverged from the live one");
@@ -118,7 +111,7 @@ let twig_engine () =
     (fun journal resume ->
       let o =
         Twiglearn.Interactive.Loop.run_flaky ~rng:(Core.Prng.create 1)
-          ?journal ~resume ~oracle ~items ()
+          ?journal ?resume ~oracle ~items ()
       in
       o.questions + o.replayed)
 
@@ -143,7 +136,7 @@ let join_engine () =
     (fun journal resume ->
       let o =
         Joinlearn.Interactive.Loop.run_flaky ~rng:(Core.Prng.create 1)
-          ~strategy:Joinlearn.Interactive.lattice_strategy ?journal ~resume
+          ~strategy:Joinlearn.Interactive.lattice_strategy ?journal ?resume
           ~oracle ~items ()
       in
       o.questions + o.replayed)
@@ -161,7 +154,7 @@ let path_engine () =
     (fun journal resume ->
       let o =
         Pathlearn.Interactive.Loop.run_flaky ~rng:(Core.Prng.create 1)
-          ?journal ~resume ~oracle ~items ()
+          ?journal ?resume ~oracle ~items ()
       in
       o.questions + o.replayed)
 

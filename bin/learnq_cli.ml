@@ -340,56 +340,15 @@ let start_journal ~path ~resuming ~engine ~config ~seed ~sync =
         raw_events = [];
       }
 
-(* Decode the Answered prefix of a recovered journal with an engine codec;
-   an undecodable item means the journal belongs to other data. *)
-let decode_replies decode events =
-  List.filter_map
-    (function
-      | Core.Journal.Answered (s, reply) -> (
-          match decode s with
-          | Some it -> Some (it, reply)
-          | None ->
-              or_die
-                (Error
-                   (Core.Error.invalid_input ~what:"--resume"
-                      (Printf.sprintf
-                         "journal item %S does not decode; the journal was \
-                          recorded over different data"
-                         s))))
-      | _ -> None)
-    events
-
-(* Split the recovered events at the last checkpoint (written under
-   --checkpoint-every) and decode its state snapshot with the engine codec:
-   resume restores the snapshot and replays only the tail. *)
-let split_restore decode_state events =
-  let rec split ck tail = function
-    | [] -> (ck, List.rev tail)
-    | Core.Journal.Checkpoint c :: rest -> split (Some c) [] rest
-    | ev :: rest -> split ck (ev :: tail) rest
-  in
-  let ck, tail = split None [] events in
-  match ck with
-  | None -> (None, tail)
-  | Some c -> (
-      match decode_state c.Core.Journal.ck_state with
-      | Ok st ->
-          ( Some (st, c.Core.Journal.ck_answered, c.Core.Journal.ck_questions),
-            tail )
-      | Error msg ->
-          or_die
-            (Error
-               (Core.Error.invalid_input ~what:"--resume"
-                  ("undecodable journal checkpoint: " ^ msg))))
-
 (* Checkpoint compaction (and journal close) can hit the disk mid-session;
    the typed storage error exits with EX_IOERR, leaving the journal intact
-   and resumable. *)
+   and resumable.  A journal that does not replay against this data (an
+   undecodable item or checkpoint) exits as bad input. *)
 let run_journaled f =
   try f ()
-  with Core.Journal.Io err ->
+  with Core.Journal.Io err | Core.Interact.Replay_failed err ->
     Printf.eprintf "learnq: %s\n" (Core.Error.to_string err);
-    exit Core.Error.exit_io
+    exit (Core.Error.exit_code err)
 
 let report_session ?note ~questions ~replayed ~pruned ~refused ~retried () =
   Printf.printf "questions: %d, replayed: %d, pruned: %d, refused: %d%s\n"
@@ -710,12 +669,6 @@ let learn_twig_cmd =
       | Some profile -> Core.Flaky.wrap ~profile ~rng base_oracle
     in
     let oracle = crash_wrap crash_after oracle in
-    let restore, tail =
-      split_restore (Twiglearn.Interactive.decode_state ~doc) js.raw_events
-    in
-    let resume_events =
-      decode_replies (Twiglearn.Interactive.decode_item ~doc) tail
-    in
     let jpair =
       Option.map (fun log -> (log, Twiglearn.Interactive.encode_item)) js.log
     in
@@ -723,8 +676,9 @@ let learn_twig_cmd =
       run_journaled (fun () ->
           let outcome =
             Twiglearn.Interactive.Loop.run_flaky ~rng ~budget ?journal:jpair
-              ~resume:resume_events ?restore ~checkpoint_every
-              ~snapshot:Twiglearn.Interactive.encode_state
+              ~resume:(js.raw_events, Twiglearn.Interactive.decode_item ~doc)
+              ~restore:(Twiglearn.Interactive.decode_state ~doc)
+              ~checkpoint_every ~snapshot:Twiglearn.Interactive.encode_state
               ~retry:(retry_policy ~retries ~breaker)
               ~oracle ~items ()
           in
@@ -983,16 +937,6 @@ let learn_join_cmd =
       | Some profile -> Core.Flaky.wrap ~profile ~rng base_oracle
     in
     let oracle = crash_wrap crash_after oracle in
-    let restore, tail =
-      split_restore
-        (Joinlearn.Interactive.decode_state ~left:inst.left ~right:inst.right)
-        js.raw_events
-    in
-    let resume_events =
-      decode_replies
-        (Joinlearn.Interactive.decode_item ~left:inst.left ~right:inst.right)
-        tail
-    in
     let jpair =
       Option.map
         (fun log ->
@@ -1005,8 +949,15 @@ let learn_join_cmd =
       run_journaled (fun () ->
           let outcome =
             Joinlearn.Interactive.Loop.run_flaky ~rng ~strategy ~budget
-              ?journal:jpair ~resume:resume_events ?restore ~checkpoint_every
-              ~snapshot:Joinlearn.Interactive.encode_state
+              ?journal:jpair
+              ~resume:
+                ( js.raw_events,
+                  Joinlearn.Interactive.decode_item ~left:inst.left
+                    ~right:inst.right )
+              ~restore:
+                (Joinlearn.Interactive.decode_state ~left:inst.left
+                   ~right:inst.right)
+              ~checkpoint_every ~snapshot:Joinlearn.Interactive.encode_state
               ~retry:(retry_policy ~retries ~breaker)
               ~oracle ~items ()
           in
@@ -1105,10 +1056,6 @@ let learn_path_cmd =
       | Some profile -> Core.Flaky.wrap ~profile ~rng base_oracle
     in
     let oracle = crash_wrap crash_after oracle in
-    let restore, tail =
-      split_restore Pathlearn.Interactive.decode_state js.raw_events
-    in
-    let resume_events = decode_replies Pathlearn.Interactive.decode_item tail in
     let jpair =
       Option.map (fun log -> (log, Pathlearn.Interactive.encode_item)) js.log
     in
@@ -1116,7 +1063,8 @@ let learn_path_cmd =
       run_journaled (fun () ->
           let outcome =
             Pathlearn.Interactive.Loop.run_flaky ~rng ~budget ?journal:jpair
-              ~resume:resume_events ?restore ~checkpoint_every
+              ~resume:(js.raw_events, Pathlearn.Interactive.decode_item)
+              ~restore:Pathlearn.Interactive.decode_state ~checkpoint_every
               ~snapshot:Pathlearn.Interactive.encode_state
               ~retry:(retry_policy ~retries ~breaker)
               ~oracle ~items ()

@@ -65,14 +65,14 @@ let m_exhausted = Telemetry.Metrics.counter "learnq.budget.exhausted"
 let m_fuel = Telemetry.Metrics.counter "learnq.budget.fuel_spent"
 
 (* [trip] fires on every tick after exhaustion as the exception unwinds
-   through nested loops; count only the first transition. *)
+   through nested loops; count only the first transition.  It does not log:
+   whoever catches [Out_of_budget] knows whether the trip was expected (a
+   fuzz oracle probing partial results, a containment check giving up) or a
+   session running dry, and only the latter warns. *)
 let trip b =
   if not b.tripped then begin
     Telemetry.Metrics.incr m_exhausted;
-    if b.fuel_spent > 0 then Telemetry.Metrics.incr m_fuel ~by:b.fuel_spent;
-    Telemetry.Log.warn
-      ~kv:[ ("fuel_spent", string_of_int b.fuel_spent) ]
-      "budget exhausted"
+    if b.fuel_spent > 0 then Telemetry.Metrics.incr m_fuel ~by:b.fuel_spent
   end;
   b.tripped <- true;
   raise Out_of_budget

@@ -71,20 +71,20 @@ let m_compactions = Telemetry.Metrics.counter "learnq.journal.compactions"
 (* CRC-32 (polynomial 0xEDB88320, the zlib/PNG one)                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Built eagerly: a lazy table forced by two domains at once (journals are
+   written from pool workers) raises [CamlinternalLazy.Undefined] in one. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
   String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
     s;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
@@ -680,13 +680,13 @@ let answered r =
 (* The last checkpoint (if any) and the events that follow it: what a
    resuming session restores and then replays.  Events before the last
    checkpoint are superseded by it. *)
-let split_checkpoint r =
+let split_checkpoint events =
   let rec go ck tail = function
     | [] -> (ck, List.rev tail)
     | Checkpoint c :: rest -> go (Some c) [] rest
     | ev :: rest -> go ck (ev :: tail) rest
   in
-  go None [] r.events
+  go None [] events
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)

@@ -187,7 +187,7 @@ val answered : recovered -> (string * Flaky.reply) list
 (** The [Answered] events of the surviving prefix, in order — what a learner
     replays to rebuild its state. *)
 
-val split_checkpoint : recovered -> checkpoint option * event list
+val split_checkpoint : event list -> checkpoint option * event list
 (** The last checkpoint (if any) and the events after it: restore the
     snapshot, replay only the tail.  With no checkpoint the full event list
     comes back — version-1 journals resume exactly as before. *)

@@ -453,19 +453,14 @@ let check_journal_resume (doc, goal, permille) =
                 (String.length bytes) (Core.Error.to_string e)
           | Error _ -> Ok () (* header itself truncated: nothing to resume *)
           | Ok (j2, recovered) ->
-              let replies =
-                List.filter_map
-                  (fun (s, r) ->
-                    Option.map (fun it -> (it, r)) (TI.decode_item ~doc s))
-                  (Core.Journal.answered recovered)
-              in
               let resumed =
                 Fun.protect
                   ~finally:(fun () -> Core.Journal.close j2)
                   (fun () ->
                     TI.Loop.run ~rng:(Prng.create 17)
-                      ~journal:(j2, TI.encode_item) ~resume:replies ~oracle
-                      ~items ())
+                      ~journal:(j2, TI.encode_item)
+                      ~resume:(recovered.events, TI.decode_item ~doc)
+                      ~oracle ~items ())
               in
               let* () =
                 transcripts_differ "full vs resumed" (transcript full)

@@ -2,7 +2,8 @@
 # End-to-end crash recovery: a journaled learn-twig session killed mid-run
 # by --crash-after must (a) die with the kill exit code, (b) resume from its
 # journal without re-asking any answered question, and (c) converge to the
-# same query as an uninterrupted run under the same seed.
+# same query as an uninterrupted run under the same seed, and (d) leave a
+# journal byte-identical to an uninterrupted journaled run's.
 set -u
 
 EXE="$1"
@@ -51,4 +52,12 @@ diff <(learned_of "$tmp/full.out") <(learned_of "$tmp/resume.out") > /dev/null \
   full:    $(learned_of "$tmp/full.out")
   resumed: $(learned_of "$tmp/resume.out")"
 
-echo "crash_resume: ok (crashed after $k/$full_q answers, resumed to the same query)"
+# 4. The crashed-and-resumed journal is byte-identical to the journal of an
+#    uninterrupted run: the question in flight at the crash is re-posed
+#    without a second Asked record.
+"$EXE" learn-twig "$tmp/doc.xml" --goal "$goal" --seed 7 \
+  --journal "$tmp/full.wal" > /dev/null || fail "journaled reference run failed"
+cmp -s "$tmp/full.wal" "$tmp/session.wal" \
+  || fail "resumed journal differs from the uninterrupted one ($(wc -c < "$tmp/session.wal") vs $(wc -c < "$tmp/full.wal") bytes)"
+
+echo "crash_resume: ok (crashed after $k/$full_q answers, resumed to the same query and journal bytes)"

@@ -156,6 +156,53 @@ let test_runner_jobs_deterministic () =
         true (r = r1))
     [ 2; 4 ]
 
+(* Warnings are for sessions that ran dry, not for budgets an oracle trips
+   on purpose: [rpq-naive] exhausts a small fuel budget in most cases to
+   check partial answers, and must do so without a line on stderr, while
+   an interactive session cut short by its budget still warns once. *)
+let warn_lines f =
+  let module Log = Core.Telemetry.Log in
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let saved = Log.level () in
+  Log.set_formatter ppf;
+  Log.set_level (Some Core.Telemetry.Warn);
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Log.set_level saved;
+        Log.set_formatter Format.err_formatter)
+      f
+  in
+  Format.pp_print_flush ppf ();
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  let is_warn l =
+    let n = String.length l and pat = " warn ]" in
+    let k = String.length pat in
+    let rec at i = i + k <= n && (String.sub l i k = pat || at (i + 1)) in
+    at 0
+  in
+  (result, List.length (List.filter is_warn lines))
+
+let test_expected_trips_are_quiet () =
+  let report, warns =
+    warn_lines (fun () ->
+        Fuzz.Runner.run ~oracles:[ find "rpq-naive" ] ~iters:200 ~seed:42 ())
+  in
+  Alcotest.(check int) "rpq-naive green" 0 (List.length report.counterexamples);
+  Alcotest.(check int) "no warn line from deliberate trips" 0 warns;
+  let doc = Fuzz.Gen.tree (Core.Prng.create 1) ~size:6 in
+  let outcome, warns =
+    warn_lines (fun () ->
+        Twiglearn.Interactive.Loop.run
+          ~budget:(Core.Budget.create ~fuel:1 ())
+          ~oracle:(fun _ -> true)
+          ~items:(Twiglearn.Interactive.items_of_doc doc)
+          ())
+  in
+  Alcotest.(check bool) "session degraded" true outcome.degraded;
+  Alcotest.(check int) "exhausted session warns once" 1 warns
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance demo: an injected engine bug is caught and minimized      *)
 (* ------------------------------------------------------------------ *)
@@ -239,6 +286,8 @@ let () =
           Alcotest.test_case "budget interrupt" `Quick test_runner_budget;
           Alcotest.test_case "jobs determinism" `Quick
             test_runner_jobs_deterministic;
+          Alcotest.test_case "expected trips are quiet" `Quick
+            test_expected_trips_are_quiet;
         ] );
       ( "acceptance",
         [
